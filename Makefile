@@ -62,8 +62,9 @@ ci: fmt
 	dune exec bin/geogauss_cli.exe -- check --seeds 5 --fast --merge-level column --jobs $(JOBS) > /tmp/gg_ci_ml.out; \
 	tail -1 /tmp/gg_ci_ml.out
 # Clock-assisted fast path (DESIGN.md §14): the same drawn seeds with
-# speculative sealing and skew bursts pinned on — externalization still
-# gates on the confirm point, so all five oracles apply unchanged.
+# local-clock epochs, the seal-time WAL prelog and skew bursts pinned
+# on — the merge still waits for every EOF, so all five oracles apply
+# unchanged.
 	dune exec bin/geogauss_cli.exe -- check --seeds 5 --fast --engine eocc --clock-skew 10 --jobs $(JOBS) > /tmp/gg_ci_fp.out; \
 	tail -1 /tmp/gg_ci_fp.out
 	dune exec bin/geogauss_cli.exe -- check --canary
@@ -77,28 +78,23 @@ ci: fmt
 # Same tripwire for the partial-replication sweep: fresh fast fig_scale
 # vs the committed 25-200 replica baseline (fast mode only runs the
 # 25/50 widths; the 100/200 rows report as missing, which warn-only
-# tolerates). The fresh JSON lands in cwd, so park the baseline first.
-	cp BENCH_scale.json /tmp/gg_scale_base.json; \
-	dune exec bench/main.exe -- fig_scale --fast --jobs $(JOBS) > /dev/null; \
-	mv BENCH_scale.json /tmp/gg_scale_fast.json; \
-	cp /tmp/gg_scale_base.json BENCH_scale.json; \
-	dune exec bin/geogauss_cli.exe -- bench diff /tmp/gg_scale_base.json /tmp/gg_scale_fast.json --warn-only --threshold 0.5
+# tolerates). Fresh JSONs go straight to /tmp via --out, so the
+# committed baselines are never touched.
+	dune exec bench/main.exe -- fig_scale --fast --out /tmp/gg_scale_fast.json --jobs $(JOBS) > /dev/null
+	dune exec bin/geogauss_cli.exe -- bench diff BENCH_scale.json /tmp/gg_scale_fast.json --warn-only --threshold 0.5
 # And for the merge-granularity sweep: fresh fast fig_skew vs the
 # committed baseline (abort-rate and WAN columns gate lower-is-better).
-	cp BENCH_skew.json /tmp/gg_skew_base.json; \
-	dune exec bench/main.exe -- fig_skew --fast --jobs $(JOBS) > /dev/null; \
-	mv BENCH_skew.json /tmp/gg_skew_fast.json; \
-	cp /tmp/gg_skew_base.json BENCH_skew.json; \
-	dune exec bin/geogauss_cli.exe -- bench diff /tmp/gg_skew_base.json /tmp/gg_skew_fast.json --warn-only --threshold 0.5
+	dune exec bench/main.exe -- fig_skew --fast --out /tmp/gg_skew_fast.json --jobs $(JOBS) > /dev/null
+	dune exec bin/geogauss_cli.exe -- bench diff BENCH_skew.json /tmp/gg_skew_fast.json --warn-only --threshold 0.5
 # And for the fast-path sweep: fresh fast fig_fastpath vs the committed
-# baseline (p50/p95 and mispredict-rate columns gate lower-is-better;
-# fast mode only runs the 0/10/50 ms bounds, the rest report missing,
-# which warn-only tolerates).
-	cp BENCH_fastpath.json /tmp/gg_fp_base.json; \
-	dune exec bench/main.exe -- fig_fastpath --fast --jobs $(JOBS) > /dev/null; \
-	mv BENCH_fastpath.json /tmp/gg_fp_fast.json; \
-	cp /tmp/gg_fp_base.json BENCH_fastpath.json; \
-	dune exec bin/geogauss_cli.exe -- bench diff /tmp/gg_fp_base.json /tmp/gg_fp_fast.json --warn-only --threshold 0.5
+# baseline (p50/p95 gate lower-is-better; fast mode only runs the
+# 0/10/50 ms bounds, the rest report missing, which warn-only
+# tolerates).
+	dune exec bench/main.exe -- fig_fastpath --fast --out /tmp/gg_fp_fast.json --jobs $(JOBS) > /dev/null
+	dune exec bin/geogauss_cli.exe -- bench diff BENCH_fastpath.json /tmp/gg_fp_fast.json --warn-only --threshold 0.5
+# The repository benchmark's smoke test: builds and runs perfbench on a
+# short window and checks its report's shape.
+	python3 perfbench/smoke.py
 
 bench:
 	dune exec bench/main.exe -- --jobs $(JOBS)

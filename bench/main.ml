@@ -13,9 +13,11 @@
      main.exe --fast [...]    shrunk populations/windows (smoke mode)
      main.exe -j N [...]      fan independent simulations over N domains
                               (0 = auto; deterministic output at any N)
-     main.exe --out FILE      wallclock JSON output path (default
-                              BENCH_wallclock.json; `make ci` writes a
-                              fast run to /tmp for `bench diff`)
+     main.exe --out FILE      JSON output path of wallclock, fig_scale,
+                              fig_skew and fig_fastpath (default: their
+                              BENCH_*.json in the current directory;
+                              `make ci` writes fast runs to /tmp for
+                              `bench diff`)
 
    Experiments regenerate the rows/series of every table and figure in
    the paper's evaluation (§7); see DESIGN.md for the index and
@@ -555,25 +557,26 @@ let () =
   let fast = List.mem "--fast" args in
   let args = List.filter (fun a -> a <> "--fast") args in
   let jobs = ref 1 in
-  let out = ref "BENCH_wallclock.json" in
+  let out = ref None in
   let rec strip_opts = function
     | [] -> []
     | ("-j" | "--jobs") :: n :: rest ->
       jobs := int_of_string n;
       strip_opts rest
     | "--out" :: path :: rest ->
-      (* wallclock output path; lets `make ci` write a throwaway fast run
-         for `geogauss bench diff' without clobbering the committed
+      (* JSON output path; lets `make ci` write a throwaway fast run for
+         `geogauss bench diff' without clobbering the committed
          baseline *)
-      out := path;
+      out := Some path;
       strip_opts rest
     | a :: rest -> a :: strip_opts rest
   in
   let args = strip_opts args in
-  let out = !out in
+  let json_out = !out in
+  let out = Option.value json_out ~default:"BENCH_wallclock.json" in
   Gg_par.Pool.with_pool ~jobs:!jobs @@ fun pool ->
   let run_experiment name =
-    if not (Gg_harness.Experiments.run ~fast ~pool name) then begin
+    if not (Gg_harness.Experiments.run ~fast ~pool ?json_out name) then begin
       Printf.eprintf
         "unknown experiment %s; available: %s micro wallclock parallel\n" name
         (String.concat " " (List.map fst Gg_harness.Experiments.all));

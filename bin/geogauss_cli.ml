@@ -96,9 +96,16 @@ let clock_skew_arg =
         ~doc:
           "Bounded clock-skew budget in milliseconds for the eocc fast \
            path (Params.clock_skew_us): each node's simulated clock \
-           drifts within \xC2\xB1$(docv) of true time. Only meaningful \
-           with --engine eocc; ignored by engines that never read the \
-           clock.")
+           drifts within \xC2\xB1$(docv) of true time. Requires \
+           --engine eocc; any other engine never reads the clock, so the \
+           flag is rejected there.")
+
+(* No other engine reads the clock, so a skew budget given to one would
+   be dropped without a word: reject it instead. *)
+let clock_skew_error ~fastpath clock_skew =
+  if clock_skew <> None && not fastpath then
+    Some "--clock-skew requires --engine eocc (no other engine reads the clock)"
+  else None
 
 (* --- `bench` subcommand: run paper experiments --- *)
 
@@ -180,8 +187,8 @@ let bench_diff_cmd =
          "Compare two bench JSON reports (wallclock, merge, parallel, \
           scale, skew or fastpath suite) and fail on throughput drops \
           beyond the noise threshold (the scale suite's WAN-per-txn, the \
-          skew suite's abort-rate and the fastpath suite's p50/p95/\
-          mispredict-rate columns gate lower-is-better).")
+          skew suite's abort-rate and the fastpath suite's p50/p95 \
+          columns gate lower-is-better).")
     Term.(ret (const run $ old_path $ new_path $ threshold $ warn_only))
 
 let bench_cmd =
@@ -258,8 +265,8 @@ let run_cmd =
       & info [ "engine" ]
           ~doc:
             "Engine by registry name (geogauss, geog-s, geog-a, eocc). \
-             Overrides --variant; eocc enables the clock-assisted \
-             speculative fast path (pair with --clock-skew).")
+             Overrides --variant; eocc enables the clock-assisted fast \
+             path (pair with --clock-skew).")
   in
   let ft =
     Arg.(
@@ -336,11 +343,14 @@ let run_cmd =
       }
     in
     (* --engine applies the registry transform last, so it wins over
-       --variant; --clock-skew then sets the skew budget (the clock is
-       only instantiated with a nonzero bound under the fast path). *)
+       --variant; --clock-skew then sets the skew budget, which only the
+       fast path reads. *)
     let params =
       match engine with None -> params | Some (_, f) -> f params
     in
+    match clock_skew_error ~fastpath:params.Geogauss.Params.fastpath clock_skew with
+    | Some msg -> `Error (false, msg)
+    | None ->
     let params =
       match clock_skew with
       | None -> params
@@ -439,15 +449,17 @@ let run_cmd =
         extra.Gg_harness.Driver.offered extra.Gg_harness.Driver.shed;
     (match trace with
     | Some path -> Printf.printf "trace written to %s\n" path
-    | None -> ())
+    | None -> ());
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run an ad-hoc GeoGauss cluster simulation.")
     Term.(
-      const run $ workload $ nodes $ world $ epoch_ms $ isolation $ variant
-      $ engine $ clock_skew_arg $ ft $ seconds $ connections $ theta $ records
-      $ seed $ trace $ arrival $ merge_jobs_arg $ partitioning_arg
-      $ merge_level_arg)
+      ret
+        (const run $ workload $ nodes $ world $ epoch_ms $ isolation $ variant
+       $ engine $ clock_skew_arg $ ft $ seconds $ connections $ theta
+       $ records $ seed $ trace $ arrival $ merge_jobs_arg $ partitioning_arg
+       $ merge_level_arg))
 
 (* --- `check` subcommand: seeded chaos checking --- *)
 
@@ -525,6 +537,9 @@ let check_cmd =
       match pinned with Some p -> p.Geogauss.Params.fastpath | None -> false
     in
     let clock_skew_ms = Option.value ~default:5 clock_skew in
+    match clock_skew_error ~fastpath clock_skew with
+    | Some msg -> `Error (false, msg)
+    | None ->
     if canary then begin
       let s =
         {

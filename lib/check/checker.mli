@@ -88,10 +88,9 @@ val check :
     full engine. A [Column] sweep runs the same drawn scenarios through
     all five oracles with the column-level lattice active.
 
-    [?fastpath] pins the clock-assisted speculative fast path (the
-    [eocc] engine) on every scenario, via {!Scenario.with_fastpath} with
-    the [?clock_skew_ms] budget (default 5 ms) — the variant is coerced
-    to the full engine and a deterministic skew-burst schedule is
-    appended. Externalization still gates on the confirm point, so the
-    same five oracles apply at full strength: speculation may only waste
-    simulated work, never change what clients observe. *)
+    [?fastpath] pins the clock-assisted fast path (the [eocc] engine)
+    on every scenario, via {!Scenario.with_fastpath} with the
+    [?clock_skew_ms] budget (default 5 ms) — the variant is coerced to
+    the full engine and a deterministic skew-burst schedule is appended.
+    The merge still waits for every peer's EOF, so the same five
+    oracles apply at full strength. *)

@@ -50,7 +50,7 @@ type t = {
       (* open-loop arrival curve; None = the closed loop. Drawn LAST so
          the coin-flips cannot perturb any knob above. *)
   fastpath : bool;
-      (* clock-assisted speculative sealing (the eocc engine). Like
+      (* the clock-assisted fast path (the eocc engine). Like
          merge_jobs, never drawn from the seed — pinned via
          with_fastpath, so existing reproducer lines replay unchanged. *)
   clock_skew_ms : int;
@@ -304,7 +304,7 @@ let with_merge_level s level =
    are coerced (same discipline as {!with_partitioning}). Bursts step one
    node's clock by up to the skew budget mid-run; {!Gg_sim.Clock} clamps
    the result to the bound, so the bounded-skew invariant survives the
-   fault and the watermark fallback absorbs the surprise. *)
+   fault and only the node's epoch boundaries move. *)
 let with_fastpath s ~clock_skew_ms =
   let clock_skew_ms = max 0 clock_skew_ms in
   let rng = Rng.create (0x5c3a + (s.seed * 0x9e3779b9)) in

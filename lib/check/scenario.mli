@@ -52,7 +52,7 @@ type t = {
           Drawn {e last}, so the extra coin-flips cannot shift any
           other knob. *)
   fastpath : bool;
-      (** clock-assisted speculative sealing (the [eocc] engine,
+      (** the clock-assisted fast path (the [eocc] engine,
           DESIGN.md §14). Like [merge_jobs], never drawn from the seed —
           pinned through {!with_fastpath}, so existing reproducer lines
           replay unchanged. *)

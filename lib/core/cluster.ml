@@ -235,7 +235,6 @@ let create ?(params = Params.default) ?(jitter_frac = 0.05) ?(loss = 0.0)
   let clock =
     Gg_sim.Clock.create ~seed:params.Params.seed ~topology
       ~bound_us:(if params.Params.fastpath then params.Params.clock_skew_us else 0)
-      ~sync_period_us:params.Params.clock_sync_period_us ()
   in
   let env =
     {

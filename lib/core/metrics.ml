@@ -23,9 +23,6 @@ type t = {
   mutable log : Stats.Acc.t;
   per_epoch : (int, epoch_cell) Hashtbl.t;
   merged_records : Obs.Counter.t;
-  fp_spec : Obs.Counter.t;
-  fp_confirm : Obs.Counter.t;
-  fp_mispredict : Obs.Counter.t;
 }
 
 (* Clear the state that lives outside the instrument registry; the
@@ -74,9 +71,6 @@ let create ?obs ?id () =
       log = Stats.Acc.create ();
       per_epoch = Hashtbl.create 256;
       merged_records = counter "merge.records";
-      fp_spec = counter "fastpath.spec";
-      fp_confirm = counter "fastpath.confirm";
-      fp_mispredict = counter "fastpath.mispredict";
     }
   in
   (match obs with
@@ -87,12 +81,6 @@ let create ?obs ?id () =
 let record_start t = Obs.Counter.incr t.started
 let record_merged_records t n = Obs.Counter.add t.merged_records n
 let merged_records t = Obs.Counter.value t.merged_records
-let record_spec t = Obs.Counter.incr t.fp_spec
-let record_spec_confirm t = Obs.Counter.incr t.fp_confirm
-let record_spec_mispredict t = Obs.Counter.incr t.fp_mispredict
-let spec_count t = Obs.Counter.value t.fp_spec
-let spec_confirms t = Obs.Counter.value t.fp_confirm
-let spec_mispredicts t = Obs.Counter.value t.fp_mispredict
 
 let record_outcome t outcome =
   let lat = float_of_int (Txn.outcome_latency outcome) in
@@ -171,7 +159,4 @@ let reset t =
   Obs.Histogram.reset t.latency;
   Obs.Histogram.reset t.commit_latency;
   Obs.Counter.reset t.merged_records;
-  Obs.Counter.reset t.fp_spec;
-  Obs.Counter.reset t.fp_confirm;
-  Obs.Counter.reset t.fp_mispredict;
   reset_tables t

@@ -27,22 +27,6 @@ val record_merged_records : t -> int -> unit
 
 val merged_records : t -> int
 
-(** {2 Clock-assisted fast path (DESIGN.md §14)} *)
-
-val record_spec : t -> unit
-(** A speculative merge fired (["fastpath.spec"]). *)
-
-val record_spec_confirm : t -> unit
-(** The all-arrived signal matched the speculated set. *)
-
-val record_spec_mispredict : t -> unit
-(** A straggler violated its watermark; the epoch re-merged
-    synchronously (["fastpath.mispredict"]). *)
-
-val spec_count : t -> int
-val spec_confirms : t -> int
-val spec_mispredicts : t -> int
-
 val started : t -> int
 val committed : t -> int
 val aborted : t -> int

@@ -113,18 +113,9 @@ type t = {
   mutable txn_seq : int;
   mutable last_advance : int;  (* sim time the snapshot last moved *)
   mutable last_txn_cen : int;  (* highest epoch holding a committed local txn *)
-  (* Clock-assisted fast path (DESIGN.md §14): the speculative merge
-     armed for epoch lsn+1, if any. Speculation charges the simulated
-     merge duration (and the local write sets' WAL group-commit) while
-     the synchronous all-arrived signal is still in flight; the merge
-     itself runs exactly once, at confirmation. *)
-  mutable spec_epoch : int;  (* -1 = none armed *)
-  mutable spec_started : int;  (* sim time the speculative charge began *)
-  mutable spec_duration : int;  (* charged merge duration *)
-  mutable spec_keys : int list;  (* speculated set: sorted packed csns *)
-  mutable spec_span : int;  (* causal span of the speculative merge *)
-  mutable spec_logged : int;  (* sim time of the WAL prelog; -1 = none *)
-  mutable spec_wake_at : int;  (* earliest armed deadline wakeup; max_int = none *)
+  prelogged : int Itbl.t;
+      (* cen -> sim time the fast path group-committed the epoch's local
+         write sets at seal (DESIGN.md §14) *)
 }
 
 let create env ~id ~db =
@@ -156,13 +147,7 @@ let create env ~id ~db =
     txn_seq = 0;
     last_advance = 0;
     last_txn_cen = -1;
-    spec_epoch = -1;
-    spec_started = 0;
-    spec_duration = 0;
-    spec_keys = [];
-    spec_span = 0;
-    spec_logged = -1;
-    spec_wake_at = max_int;
+    prelogged = Itbl.create 16;
   }
 
 let id t = t.id
@@ -203,8 +188,7 @@ let last_eof_from t ~peer = t.last_eof.(peer)
 let touch_eof t ~peer = t.last_eof.(peer) <- Sim.now t.env.sim
 
 (* Commit timestamps come from the (possibly skewed) local clock under
-   the fast path — they are what feeds the peers' watermarks — and stay
-   monotone per node either way. *)
+   the fast path and stay monotone per node either way. *)
 let fresh_csn t =
   let ts = max (local_now t) (t.csn_last + 1) in
   t.csn_last <- ts;
@@ -619,6 +603,26 @@ let seal_epoch t e =
     broadcast_batch t ~bytes wire_batch
   end;
   Itbl.replace t.notify_gate e (now t + ft_gate_delay t);
+  (* Fast-path WAL prelog: the epoch's local write sets are frozen from
+     here on, so their group commit starts now and overlaps the EOF
+     flight instead of following the merge. Logging a write set before
+     its verdict is safe because recovery only applies the verdicts of
+     merged epochs; an aborted write set is logged, never installed.
+     Partial replication keeps the classic order: its cross-group votes
+     already hold the answer past the merge. *)
+  (if fastpath_on t && not (Partitioning.enabled part) then
+     match Itbl.find_opt t.waiting e with
+     | None -> ()
+     | Some locals ->
+       Itbl.replace t.prelogged e (now t);
+       List.iter
+         (fun (txn : Txn.t) ->
+           match txn.Txn.writeset with
+           | Some ws ->
+             txn.Txn.phases.log_us <-
+               Gg_storage.Wal.append t.wal ~bytes:(Writeset.encoded_size ws)
+           | None -> ())
+         locals);
   t.sealed_epoch <- e
 
 let rec schedule_boundary t e =
@@ -626,8 +630,8 @@ let rec schedule_boundary t e =
   (* Under the fast path each node seals on its LOCAL clock: the boundary
      fires at the sim time where the local reading crosses [b]
      (first-order inversion of the offset; drift over one epoch is
-     negligible). A fast clock seals early, a slow one late — the skew
-     cost the watermark deadlines of the peers then absorb. *)
+     negligible). A fast clock seals early, a slow one late; peers
+     still merge only once every EOF is in. *)
   let at =
     if fastpath_on t then b - Clock.offset_us t.env.clock ~node:t.id ~at:b
     else b
@@ -716,7 +720,7 @@ and merge_ready t e =
        (t.env.members_at e)
 
 and try_advance t =
-  (if t.active && not t.merging then begin
+  if t.active && not t.merging then begin
     let e = t.lsn + 1 in
     if merge_ready t e then begin
       t.merging <- true;
@@ -756,188 +760,25 @@ and try_advance t =
       (* Every blocked transaction thread is checked/notified around each
          snapshot generation (§5.1): with short epochs this scan
          dominates, which is why the paper's Fig 8 peaks at ~10 ms. *)
-      let fresh_duration () =
+      let duration =
         cost.merge_base_us
         + (pending_waiting t * cost.notify_us)
         + ((n_records + resolve_records) * cost.merge_record_us
           / max 1 cost.merge_threads)
       in
-      (* Fast-path intercept: a speculative merge armed for this epoch is
-         confirmed if the all-arrived set matches the speculated one, and
-         discarded (misprediction) otherwise. Either way externalization
-         happens strictly after this point — speculation only moved
-         simulated work earlier, never a client answer. *)
-      let merge_started, duration, mspan, prelog, delay =
-        if t.spec_epoch = e then begin
-          let keys =
-            List.sort compare
-              (List.map
-                 (fun (ws : Writeset.t) -> pack_csn ws.Writeset.meta.Meta.csn)
-                 txns)
-          in
-          let started = t.spec_started
-          and sdur = t.spec_duration
-          and sspan = t.spec_span
-          and skeys = t.spec_keys in
-          let prelog = if t.spec_logged >= 0 then Some t.spec_logged else None in
-          t.spec_epoch <- -1;
-          t.spec_keys <- [];
-          t.spec_logged <- -1;
-          if keys = skeys then begin
-            (* Confirmed: the merge charge began at [started]; only its
-               residual (if any) remains. The effective start is
-               back-dated so wait + merge telescope exactly to the
-               commit instant even when the charge finished early. *)
-            Metrics.record_spec_confirm t.metrics;
-            let residual = max 0 (started + sdur - now t) in
-            if Obs.tracing t.obs then
-              Obs.emit t.obs ~node:t.id ~epoch:e ~span:sspan ~dur:residual
-                ~cat:"epoch" "merge.confirm"
-                ~detail:
-                  (Printf.sprintf "txns=%d residual=%d" (List.length txns)
-                     residual);
-            (now t + residual - sdur, sdur, sspan, prelog, residual)
-          end
-          else begin
-            (* Mispredicted: a straggler write set violated its
-               watermark. The speculative verdicts are discarded (none
-               were externalized) and the epoch re-merges synchronously
-               on the actual set — at exactly the instant the classic
-               path would have merged, so a misprediction costs wasted
-               simulated work, not correctness. The WAL prelog stays
-               valid: stragglers are remote, the local log records are
-               unchanged. *)
-            Metrics.record_spec_mispredict t.metrics;
-            if Obs.tracing t.obs then
-              Obs.emit t.obs ~node:t.id ~epoch:e ~span:sspan ~cat:"epoch"
-                "merge.mispredict"
-                ~detail:
-                  (Printf.sprintf "speculated=%d actual=%d"
-                     (List.length skeys) (List.length keys));
-            let d = fresh_duration () in
-            (now t, d, Obs.new_span t.obs ~node:t.id, prelog, d)
-          end
-        end
-        else
-          let d = fresh_duration () in
-          (now t, d, Obs.new_span t.obs ~node:t.id, None, d)
-      in
+      let span = Obs.new_span t.obs ~node:t.id in
       if Obs.tracing t.obs then
-        Obs.emit t.obs ~node:t.id ~epoch:e ~span:mspan ~dur:delay ~cat:"epoch"
+        Obs.emit t.obs ~node:t.id ~epoch:e ~span ~dur:duration ~cat:"epoch"
           "merge.start"
           ~detail:(Printf.sprintf "txns=%d records=%d" (List.length txns) n_records);
-      Sim.schedule t.env.sim ~after:delay (fun () ->
-          do_merge t e txns ~merge_started ~duration ~span:mspan ~prelog;
+      Sim.schedule t.env.sim ~after:duration (fun () ->
+          do_merge t e txns ~duration ~span;
           t.merging <- false;
           try_advance t)
     end
-  end);
-  maybe_spec t
-
-(* --- clock-assisted speculative seal (DESIGN.md §14) --- *)
-
-and spec_margin_us t =
-  (* Negative lead on the predicted-arrival deadlines: fire early enough
-     that the speculative merge charge and the WAL group commit finish
-     right as the all-arrived signal lands. A larger lead only raises
-     the mispredict rate — never breaks safety, and a mispredicted epoch
-     re-merges at the same instant the synchronous path would have. The
-     parameter override exists for tests (a huge negative value is a
-     deliberately broken watermark: speculation always fires on an
-     incomplete set). *)
-  let m = t.env.params.Params.fastpath_margin_us in
-  if m <> -1 then m
-  else
-    let cost = t.env.params.Params.cost in
-    -(cost.log_fsync_us + cost.merge_base_us + 300)
-
-and maybe_spec t =
-  if
-    fastpath_on t && t.active
-    && (not (Net.is_down t.env.net t.id))
-    && (not t.merging)
-    && not (Partitioning.enabled t.env.part)
-    (* cross-group voting already delays externalization past the merge;
-       speculating under partial replication would buy nothing *)
-  then begin
-    let e = t.lsn + 1 in
-    if t.spec_epoch <> e && t.sealed_epoch >= e then begin
-      let clock = t.env.clock in
-      let boundary = (e + 1) * epoch_us t in
-      let margin = spec_margin_us t in
-      (* Speculate once every peer is complete (EOF and announced count
-         in) or past its predicted-arrival watermark deadline. *)
-      let all_past, latest =
-        List.fold_left
-          (fun (ok, latest) peer ->
-            if peer = t.id || peer_complete t ~cen:e ~peer then (ok, latest)
-            else
-              let d =
-                Clock.deadline clock ~src:peer ~dst:t.id ~boundary_us:boundary
-                  ~margin_us:margin
-              in
-              if d <= now t then (ok, latest) else (false, max latest d))
-          (true, min_int)
-          (t.env.members_at e)
-      in
-      if all_past then begin
-        if not (merge_ready t e) then speculate t e
-      end
-      else if latest < t.spec_wake_at then begin
-        (* One armed wakeup at the latest outstanding deadline; arriving
-           messages re-evaluate sooner anyway. *)
-        t.spec_wake_at <- latest;
-        Sim.schedule_at t.env.sim latest (fun () ->
-            if t.spec_wake_at = latest then t.spec_wake_at <- max_int;
-            maybe_spec t)
-      end
-    end
   end
 
-and speculate t e =
-  let txns = collect_epoch_txns t e in
-  let keys =
-    List.sort compare
-      (List.map
-         (fun (ws : Writeset.t) -> pack_csn ws.Writeset.meta.Meta.csn)
-         txns)
-  in
-  let n_records =
-    List.fold_left
-      (fun n (ws : Writeset.t) -> n + List.length ws.Writeset.records)
-      0 txns
-  in
-  let cost = t.env.params.Params.cost in
-  let duration =
-    cost.merge_base_us
-    + (pending_waiting t * cost.notify_us)
-    + (n_records * cost.merge_record_us / max 1 cost.merge_threads)
-  in
-  t.spec_epoch <- e;
-  t.spec_started <- now t;
-  t.spec_duration <- duration;
-  t.spec_keys <- keys;
-  t.spec_span <- Obs.new_span t.obs ~node:t.id;
-  Metrics.record_spec t.metrics;
-  if Obs.tracing t.obs then
-    Obs.emit t.obs ~node:t.id ~epoch:e ~span:t.spec_span ~dur:duration
-      ~cat:"epoch" "merge.spec"
-      ~detail:(Printf.sprintf "txns=%d records=%d" (List.length txns) n_records);
-  (* Speculative WAL prelog: the local write sets were frozen when the
-     epoch sealed, so their group commit overlaps the EOF flight instead
-     of following the merge. Safe across a misprediction — the local
-     records never change, only remote stragglers do. *)
-  t.spec_logged <- now t;
-  List.iter
-    (fun (txn : Txn.t) ->
-      match txn.Txn.writeset with
-      | Some ws ->
-        txn.Txn.phases.log_us <-
-          Gg_storage.Wal.append t.wal ~bytes:(Writeset.encoded_size ws)
-      | None -> ())
-    (Option.value ~default:[] (Itbl.find_opt t.waiting e))
-
-and do_merge t e full ~merge_started ~duration ~span ~prelog =
+and do_merge t e full ~duration ~span =
   let part = t.env.part in
   let enabled = Partitioning.enabled part in
   (* Settle the cross-group transactions whose vote window ends here,
@@ -1018,6 +859,8 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
   (* Notify the local transactions of this epoch. *)
   let locals = Option.value ~default:[] (Itbl.find_opt t.waiting e) in
   let gate = Option.value ~default:0 (Itbl.find_opt t.notify_gate e) in
+  let merge_started = now t - duration in
+  let prelogged_at = Itbl.find_opt t.prelogged e in
   List.iter
     (fun (txn : Txn.t) ->
       match
@@ -1039,11 +882,11 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
           | None -> 0
         in
         let log_us =
-          match prelog with
+          match prelogged_at with
           | Some logged_at ->
-            (* group commit already issued at speculation time; only the
-               unfinished remainder (if any) is still on the commit path,
-               which is what the log phase records *)
+            (* group commit already issued at seal; only the unfinished
+               remainder (if any) is still on the commit path, which is
+               what the log phase records *)
             max 0 (logged_at + txn.Txn.phases.log_us - now t)
           | None -> Gg_storage.Wal.append t.wal ~bytes:ws_bytes
         in
@@ -1130,6 +973,7 @@ and do_merge t e full ~merge_started ~duration ~span ~prelog =
   Itbl.remove t.waiting e;
   Itbl.remove t.local_sealed e;
   Itbl.remove t.notify_gate e;
+  Itbl.remove t.prelogged e;
   Itbl.remove t.ft_acks e;
   List.iter
     (fun peer -> Itbl.remove t.remote (pack_cp ~cen:e ~peer))
@@ -1364,21 +1208,6 @@ and receive t msg =
       if t.env.params.Params.variant = Params.Async_merge then
         List.iter (lww_apply t) b.Writeset.Batch.txns
       else if b.Writeset.Batch.cen > t.lsn then begin
-        (* Fast path: every arriving write set feeds the sender's
-           timestamp watermark and the region-pair one-way delay
-           estimator — commit timestamps are stamped from the sender's
-           (skewed) local clock, which is exactly what the deadline
-           extrapolation cancels out. *)
-        (if fastpath_on t then
-           let src = b.Writeset.Batch.node in
-           List.iter
-             (fun (ws : Writeset.t) ->
-               let ts = ws.Writeset.meta.Meta.csn.Csn.ts in
-               Clock.note_stamp t.env.clock ~src ~dst:t.id ~stamp:ts
-                 ~at:(now t);
-               Clock.observe_delay t.env.clock ~src ~dst:t.id
-                 ~sample_us:(now t - ts))
-             b.Writeset.Batch.txns);
         let bs = batch_state t ~cen:b.Writeset.Batch.cen ~peer:b.Writeset.Batch.node in
         List.iter
           (fun (ws : Writeset.t) ->
@@ -1588,11 +1417,8 @@ let set_active t v =
     Itbl.reset t.votes;
     Queue.clear t.sync_queue;
     t.current_send <- [];
-    t.merging <- false;
-    t.spec_epoch <- -1;
-    t.spec_keys <- [];
-    t.spec_logged <- -1;
-    t.spec_wake_at <- max_int
+    Itbl.reset t.prelogged;
+    t.merging <- false
   end
   else if (not t.active) && v then t.active <- true
 
@@ -1633,11 +1459,8 @@ let install_state t ~rejoin ~lsn ~db =
     t.lsn <- lsn;
     t.last_advance <- Sim.now t.env.sim;
     t.sealed_epoch <- max t.sealed_epoch lsn;
+    Itbl.reset t.prelogged;
     t.merging <- false;
-    t.spec_epoch <- -1;
-    t.spec_keys <- [];
-    t.spec_logged <- -1;
-    t.spec_wake_at <- max_int;
     t.active <- true;
     (* Seal every epoch from the re-join epoch up to the current one
        (all empty — the node served no clients): peers are already

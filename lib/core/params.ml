@@ -36,8 +36,6 @@ type t = {
   merge_level : merge_level;
   fastpath : bool;
   clock_skew_us : int;
-  clock_sync_period_us : int;
-  fastpath_margin_us : int;
 }
 
 let default_cost =
@@ -70,8 +68,6 @@ let default =
     merge_level = Row;
     fastpath = false;
     clock_skew_us = 5_000;
-    clock_sync_period_us = 0;
-    fastpath_margin_us = -1;
   }
 
 let with_epoch_ms t ms = { t with epoch_us = ms * 1_000 }
@@ -79,10 +75,10 @@ let with_isolation t isolation = { t with isolation }
 let with_variant t variant = { t with variant }
 let with_ft t ft = { t with ft }
 
-(* The fast path is a refinement of the Optimistic merge pipeline:
-   speculative sealing has no meaning for GeoG-S (execution already
-   waits on the previous snapshot) or GeoG-A (no epochs at all), so
-   enabling it coerces the variant. *)
+(* The fast path is a refinement of the Optimistic merge pipeline: a
+   local-clock epoch grid and a WAL prelog at seal have no meaning for
+   GeoG-S (execution already waits on the previous snapshot) or GeoG-A
+   (no epochs at all), so enabling it coerces the variant. *)
 let with_fastpath t on =
   if on then { t with fastpath = true; variant = Optimistic }
   else { t with fastpath = false }

@@ -98,28 +98,17 @@ type t = {
           to the pre-column engine: no column masks are captured and the
           wire stream never carries the masked-update record form) *)
   fastpath : bool;
-      (** the eocc clock-assisted fast path (DESIGN.md §14): timestamp
-          transactions with bounded-skew local clocks, speculatively
-          start the epoch merge once every peer's predicted-arrival
-          watermark passes the boundary, and confirm (or fall back) when
-          the synchronous all-arrived signal lands. Only latency is
-          speculative — commits are externalized strictly after
-          confirmation. Default [false] (byte-identical to the classic
-          engine: no {!Gg_sim.Clock} reads happen at all) *)
+      (** the eocc clock-assisted fast path (DESIGN.md §14): cut epochs
+          on bounded-skew local clocks, timestamp transactions from
+          them, and group-commit each node's local write sets to the WAL
+          when their epoch seals, so the commit path charges only the
+          unfinished part of that fsync. Default [false] (byte-identical
+          to the classic engine: no {!Gg_sim.Clock} reads happen at
+          all) *)
   clock_skew_us : int;
       (** bound on per-node clock error when [fastpath] is on (offset +
           drift + injected steps are clamped to ±this), default 5 ms.
           [0] = perfectly synchronized clocks *)
-  clock_sync_period_us : int;
-      (** NTP-style sync pulse period: drift accumulation resets every
-          period. [0] (default) = no discipline, drift accumulates for
-          the whole run *)
-  fastpath_margin_us : int;
-      (** safety margin added to predicted-arrival deadlines. [-1]
-          (default) = auto (scales with the delay estimate). Tests pin
-          large negative values to build a deliberately broken watermark
-          (speculation always fires early) and check the fallback keeps
-          the oracles clean *)
 }
 
 val default_cost : cost
@@ -131,8 +120,8 @@ val with_variant : t -> variant -> t
 val with_ft : t -> ft_mode -> t
 
 val with_fastpath : t -> bool -> t
-(** Enabling the fast path coerces [variant] to [Optimistic] —
-    speculative sealing only refines the classic epoch merge pipeline.
+(** Enabling the fast path coerces [variant] to [Optimistic] — the fast
+    path only refines the classic epoch merge pipeline.
     Disabling leaves the variant alone. *)
 
 val with_clock_skew_us : t -> int -> t

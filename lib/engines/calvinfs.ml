@@ -13,7 +13,6 @@ let strategy =
        happens on every round *)
     extra_round_us = 2_000;
     ft_raft = false;
-    spec_margin_us = None;
   }
 
 let create net cfg = Det_base.create net cfg strategy

@@ -29,12 +29,6 @@ type strategy = {
   ft_raft : bool;
       (** replicate input batches through Raft before execution
           (~1 extra RTT before a round is runnable) *)
-  spec_margin_us : int option;
-      (** clock-assisted speculative seal (eocc): overlap up to this
-          much of the round's critical path with the arrival wait —
-          bounded-skew clocks let the node start the deterministic
-          schedule before the last batch lands. [None] (every classic
-          baseline) charges the full round after all batches arrive *)
 }
 
 type t

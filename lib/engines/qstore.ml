@@ -11,7 +11,6 @@ let strategy =
     reservation_aborts = false;
     extra_round_us = 0;
     ft_raft = false;
-    spec_margin_us = None;
   }
 
 let create net cfg = Det_base.create net cfg strategy

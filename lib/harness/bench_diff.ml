@@ -180,10 +180,9 @@ let diff_skew ~threshold old_j new_j =
     olds
 
 (* Fastpath suite (BENCH_fastpath.json): per-(engine, clock_skew_ms)
-   points of the clock-assisted speculative-sealing sweep. Latency
-   percentiles (p50_ms, p95_ms) and the misprediction rate are all
-   LOWER-is-better, so their deltas are inverted before judging; tput
-   stays higher-is-better. *)
+   points of the clock-assisted fast-path sweep. Latency percentiles
+   (p50_ms, p95_ms) are LOWER-is-better, so their deltas are inverted
+   before judging; tput stays higher-is-better. *)
 let diff_fastpath ~threshold old_j new_j =
   let olds = obj_list old_j "points" and news = obj_list new_j "points" in
   let find_point engine skew l =
@@ -212,7 +211,6 @@ let diff_fastpath ~threshold old_j new_j =
           metric_row ~threshold ~key ~metric:"tput" o n;
           lower "p50_ms";
           lower "p95_ms";
-          lower "mispredict_rate";
         ])
     olds
 

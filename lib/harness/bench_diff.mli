@@ -9,7 +9,7 @@
     the scale suite's [wan_kb_per_txn] and the skew suite's
     [abort_rate] / [wan_kb_per_txn], which are lower-is-better and
     judged on the inverted delta; and the fastpath suite's [p50_ms] /
-    [p95_ms] / [mispredict_rate], likewise lower-is-better. Wall-clock
+    [p95_ms], likewise lower-is-better. Wall-clock
     numbers are noisy, so a drop only counts as a regression beyond
     [threshold] (fraction of the old value); half the threshold flags a
     warning. Parallel-scaling speedups are never gated — their

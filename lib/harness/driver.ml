@@ -99,9 +99,6 @@ type geo_extra = {
   epoch_cells : (int * Geogauss.Metrics.epoch_cell) list;
   offered : int;  (* open loop: arrivals admitted in the window *)
   shed : int;  (* open loop: arrivals dropped, queue full *)
-  fastpath : int * int * int;
-      (* (speculations, confirms, mispredicts) summed over nodes; all
-         zero unless Params.fastpath is on *)
 }
 
 (* JSONL trace export: one meta record, the buffered events (oldest
@@ -244,15 +241,6 @@ let run_geogauss ?(params = Geogauss.Params.default) ?(connections = 256)
       offered =
         List.fold_left (fun a c -> a + Geogauss.Client.offered c) 0 clients;
       shed = List.fold_left (fun a c -> a + Geogauss.Client.shed c) 0 clients;
-      fastpath =
-        List.fold_left
-          (fun (s, c, m) i ->
-            let mt = Geogauss.Cluster.metrics cluster i in
-            ( s + Geogauss.Metrics.spec_count mt,
-              c + Geogauss.Metrics.spec_confirms mt,
-              m + Geogauss.Metrics.spec_mispredicts mt ))
-          (0, 0, 0)
-          (List.init n Fun.id);
     }
   in
   (match trace_file with

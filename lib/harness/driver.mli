@@ -70,10 +70,6 @@ type geo_extra = {
           window across all regions (0 closed-loop) *)
   shed : int;  (** open loop only: arrivals dropped because the queue
           was full *)
-  fastpath : int * int * int;
-      (** [(speculations, confirms, mispredicts)] of the clock-assisted
-          fast path, summed over nodes; all zero unless
-          [Params.fastpath] is on *)
 }
 
 val write_trace :

@@ -366,8 +366,8 @@ let fig8_tables pool s ~fast =
     ]
   in
   (* Each epoch length runs twice: plain GeoGauss and the eocc fast
-     path (default 5 ms skew bound) — the speculative seal's win should
-     persist across epoch lengths. *)
+     path (default 5 ms skew bound) — the seal-time WAL prelog's win
+     should persist across epoch lengths. *)
   let thunks =
     List.concat_map
       (fun (_, load, gen, connections) ->
@@ -778,7 +778,7 @@ let scale_modes =
     ("hash:4", Params.P_hash 4);
   ]
 
-let fig_scale_tables pool ~fast =
+let fig_scale_tables pool ~fast ~json_out =
   let widths = if fast then [ 25; 50 ] else [ 25; 50; 100; 200 ] in
   (* Low ops/txn, or the zipfian key draw touches nearly every group and
      there is no interest left to scope; 2 ops on 3 000 rows keeps most
@@ -835,7 +835,7 @@ let fig_scale_tables pool ~fast =
           f ~dec:2 r.Result.wan_kb_per_txn;
         ])
     rows;
-  let oc = open_out scale_json_path in
+  let oc = open_out (Option.value json_out ~default:scale_json_path) in
   let point_json (label, n, r) =
     Printf.sprintf
       "    {\"mode\": \"%s\", \"replicas\": %d, \"tput\": %.1f, \
@@ -900,7 +900,7 @@ let skew_json_path = "BENCH_skew.json"
 
 let skew_levels = [ ("row", Params.Row); ("column", Params.Column) ]
 
-let fig_skew_tables pool ~fast =
+let fig_skew_tables pool ~fast ~json_out =
   let warmup_ms = if fast then 300 else 800 in
   let measure_ms = if fast then 1_000 else 3_000 in
   let hot =
@@ -955,7 +955,7 @@ let fig_skew_tables pool ~fast =
           f ~dec:2 r.Result.wan_kb_per_txn;
         ])
     rows;
-  let oc = open_out skew_json_path in
+  let oc = open_out (Option.value json_out ~default:skew_json_path) in
   let point_json (wname, lname, r) =
     Printf.sprintf
       "    {\"workload\": \"%s\", \"merge_level\": \"%s\", \"tput\": %.1f, \
@@ -996,25 +996,22 @@ let fig_skew_tables pool ~fast =
     workloads;
   [ Tablefmt.render table ]
 
-(* --- Fig fastpath: clock-assisted speculative sealing --- *)
+(* --- Fig fastpath: local-clock epochs + WAL prelog at seal --- *)
 
 (* The clock-assisted fast path (DESIGN.md §14) claims: at realistic
    clock-skew bounds (<= 10 ms) the eocc engine's p50 commit latency
-   beats plain GeoGauss on the fig5 topology — the speculative merge +
-   WAL prelog overlap the last EOF's flight — and it degrades honestly
-   as the bound grows (the spec/confirm machinery never changes what
-   clients observe, only when work is charged). The sweep runs YCSB-MC
-   on china3: one skew-independent GeoGauss baseline, eocc at each skew
-   bound, and the Det_base EOCC timing model as a reference row.
-   Misprediction counts are reported verbatim — a high mispredict rate
-   with a latency win is an honest result (mispredicted epochs re-merge
-   at the classic instant; only the speculated work is wasted). Writes
-   BENCH_fastpath.json (`geogauss bench diff` understands the
-   "fastpath" suite; p50/p95/mispredict-rate gate lower-is-better). *)
+   beats plain GeoGauss on the fig5 topology — the WAL group commit of
+   the local write sets starts at seal and overlaps the last EOF's
+   flight — and it degrades honestly as the bound grows (epoch
+   boundaries on skewed local clocks shift the grid; p95 pays for it).
+   The sweep runs YCSB-MC on china3: one skew-independent GeoGauss
+   baseline and eocc at each skew bound. Writes BENCH_fastpath.json
+   (`geogauss bench diff` understands the "fastpath" suite; p50/p95
+   gate lower-is-better, tput higher-is-better). *)
 
 let fastpath_json_path = "BENCH_fastpath.json"
 
-let fig_fastpath_tables pool ~fast =
+let fig_fastpath_tables pool ~fast ~json_out =
   let warmup_ms = if fast then 300 else 800 in
   let measure_ms = if fast then 1_000 else 3_000 in
   let skews = if fast then [ 0; 10; 50 ] else [ 0; 5; 10; 20; 50 ] in
@@ -1025,11 +1022,9 @@ let fig_fastpath_tables pool ~fast =
   let gen = Driver.ycsb_gens p ~seed:171 in
   let connections = if fast then 32 else 64 in
   let geo label params () =
-    let r, extra =
-      Driver.run_geogauss ~params ~connections ~topology:(Topology.china3 ())
-        ~load ~gen ~warmup_ms ~measure_ms ~label ()
-    in
-    (r, extra.Driver.fastpath)
+    fst
+      (Driver.run_geogauss ~params ~connections ~topology:(Topology.china3 ())
+         ~load ~gen ~warmup_ms ~measure_ms ~label ())
   in
   let cells =
     (("geogauss", -1), geo "geogauss" Params.default)
@@ -1040,42 +1035,23 @@ let fig_fastpath_tables pool ~fast =
                (Params.with_fastpath Params.default true)
                (skew * 1_000)
            in
-           ( ("eocc", skew),
-             geo (Printf.sprintf "eocc/skew%d" skew) params ))
+           (("eocc", skew), geo (Printf.sprintf "eocc/skew%d" skew) params))
          skews
-    @ [
-        ( ("eocc-model", -1),
-          fun () ->
-            ( Driver.run_engine
-                (module Gg_engines.Eocc)
-                ~config:engine_cfg ~topology:(Topology.china3 ()) ~gen
-                ~connections ~warmup_ms ~measure_ms ~label:"eocc-model" (),
-              (0, 0, 0) ) );
-      ]
   in
   let results = Pool.run pool (List.map snd cells) in
   let rows =
-    List.map2
-      (fun ((engine, skew), _) (r, (spec, confirms, mispredicts)) ->
-        (engine, skew, r, spec, confirms, mispredicts))
-      cells results
-  in
-  let misp_rate spec mispredicts =
-    if spec = 0 then 0.0 else float_of_int mispredicts /. float_of_int spec
+    List.map2 (fun ((engine, skew), _) r -> (engine, skew, r)) cells results
   in
   let table =
     Tablefmt.create
       ~title:
-        "Fig fastpath — Clock-assisted speculative sealing vs clock skew \
+        "Fig fastpath — Local-clock epochs + WAL prelog vs clock skew \
          (YCSB-MC, china3)"
       ~headers:
-        [
-          "engine"; "skew (ms)"; "tput (txn/s)"; "p50 (ms)"; "p95 (ms)";
-          "mean (ms)"; "mispredict rate";
-        ]
+        [ "engine"; "skew (ms)"; "tput (txn/s)"; "p50 (ms)"; "p95 (ms)"; "mean (ms)" ]
   in
   List.iter
-    (fun (engine, skew, r, spec, _, mispredicts) ->
+    (fun (engine, skew, r) ->
       Tablefmt.add_row table
         [
           engine;
@@ -1084,17 +1060,15 @@ let fig_fastpath_tables pool ~fast =
           f r.Result.p50_ms;
           f r.Result.p95_ms;
           f r.Result.mean_ms;
-          (if spec = 0 then "-" else f ~dec:3 (misp_rate spec mispredicts));
         ])
     rows;
-  let oc = open_out fastpath_json_path in
-  let point_json (engine, skew, r, spec, confirms, mispredicts) =
+  let oc = open_out (Option.value json_out ~default:fastpath_json_path) in
+  let point_json (engine, skew, r) =
     Printf.sprintf
       "    {\"engine\": \"%s\", \"clock_skew_ms\": %d, \"tput\": %.1f, \
-       \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"mean_ms\": %.3f, \"spec\": %d, \
-       \"confirms\": %d, \"mispredicts\": %d, \"mispredict_rate\": %.5f}"
+       \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"mean_ms\": %.3f}"
       engine skew r.Result.tput r.Result.p50_ms r.Result.p95_ms
-      r.Result.mean_ms spec confirms mispredicts (misp_rate spec mispredicts)
+      r.Result.mean_ms
   in
   Printf.fprintf oc
     "{\n\
@@ -1111,19 +1085,18 @@ let fig_fastpath_tables pool ~fast =
      fast path's p50 must beat the skew-independent baseline. *)
   let geo_p50 =
     List.find_map
-      (fun (e, _, r, _, _, _) ->
-        if e = "geogauss" then Some r.Result.p50_ms else None)
+      (fun (e, _, r) -> if e = "geogauss" then Some r.Result.p50_ms else None)
       rows
   in
   List.iter
-    (fun (engine, skew, r, _, _, _) ->
+    (fun (engine, skew, r) ->
       match geo_p50 with
       | Some base
         when engine = "eocc" && skew >= 0 && skew <= 10
              && r.Result.p50_ms >= base ->
         Printf.eprintf
           "  WARNING: eocc p50 %.2f ms at %d ms skew >= geogauss %.2f ms — \
-           the speculative seal saved nothing\n\
+           the WAL prelog saved nothing\n\
            %!"
           r.Result.p50_ms skew base
       | _ -> ())
@@ -1142,7 +1115,7 @@ let names =
     "fig_fastpath";
   ]
 
-let tables ?(pool = Pool.seq) ~setting:s ~fast name =
+let tables ?(pool = Pool.seq) ?json_out ~setting:s ~fast name =
   match name with
   | "fig5" -> Some (fig5_tables pool s)
   | "table2" -> Some (table2_tables pool s)
@@ -1156,9 +1129,9 @@ let tables ?(pool = Pool.seq) ~setting:s ~fast name =
   | "fig12" -> Some (fig12_tables pool s)
   | "fig13" -> Some (fig13_tables pool ~fast)
   | "ablations" -> Some (ablations_tables pool s)
-  | "fig_scale" -> Some (fig_scale_tables pool ~fast)
-  | "fig_skew" -> Some (fig_skew_tables pool ~fast)
-  | "fig_fastpath" -> Some (fig_fastpath_tables pool ~fast)
+  | "fig_scale" -> Some (fig_scale_tables pool ~fast ~json_out)
+  | "fig_skew" -> Some (fig_skew_tables pool ~fast ~json_out)
+  | "fig_fastpath" -> Some (fig_fastpath_tables pool ~fast ~json_out)
   | _ -> None
 
 let print_tables ts =
@@ -1168,10 +1141,15 @@ let print_tables ts =
       print_newline ())
     ts
 
-let make_runner name ?(fast = false) ?pool () =
-  match tables ?pool ~setting:(setting ~fast) ~fast name with
-  | Some ts -> print_tables ts
-  | None ->
+let run ?(fast = false) ?pool ?json_out name =
+  match tables ?pool ?json_out ~setting:(setting ~fast) ~fast name with
+  | Some ts ->
+    print_tables ts;
+    true
+  | None -> false
+
+let make_runner name ?fast ?pool () =
+  if not (run ?fast ?pool name) then
     (* unreachable through [all] (built from [names]); reachable when a
        caller passes a free-form name, so it must be a real error, not an
        assert *)
@@ -1196,10 +1174,3 @@ let ablations = make_runner "ablations"
 let fig_scale = make_runner "fig_scale"
 let fig_skew = make_runner "fig_skew"
 let fig_fastpath = make_runner "fig_fastpath"
-
-let run ?fast ?pool name =
-  match List.assoc_opt name all with
-  | Some fn ->
-    fn ?fast ?pool ();
-    true
-  | None -> false

@@ -27,11 +27,19 @@ val setting : fast:bool -> setting
 (** The standard settings used by the [figN] runners. *)
 
 val tables :
-  ?pool:Gg_par.Pool.t -> setting:setting -> fast:bool -> string -> string list option
-(** [tables ?pool ~setting ~fast name] runs experiment [name] and
-    returns its rendered tables instead of printing them; [None] if the
-    name is unknown. [fast] here only picks grid sizes (sweep points,
-    epoch rows) — population/window knobs come from [setting]. *)
+  ?pool:Gg_par.Pool.t ->
+  ?json_out:string ->
+  setting:setting ->
+  fast:bool ->
+  string ->
+  string list option
+(** [tables ?pool ?json_out ~setting ~fast name] runs experiment [name]
+    and returns its rendered tables instead of printing them; [None] if
+    the name is unknown. [fast] here only picks grid sizes (sweep
+    points, epoch rows) — population/window knobs come from [setting].
+    [json_out] overrides where [fig_scale], [fig_skew] and
+    [fig_fastpath] write their [BENCH_*.json] (default: that file in the
+    current directory); the other experiments write no JSON. *)
 
 val fig5 : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
 (** Cross-system throughput/latency comparison on YCSB-RO/MC/HC and
@@ -91,14 +99,12 @@ val fig_skew : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
     [geogauss bench diff]. *)
 
 val fig_fastpath : ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
-(** Not a paper figure: the clock-assisted speculative-sealing sweep
-    ([--engine eocc], DESIGN.md §14) — p50/p95 and misprediction rate
-    across clock-skew bounds 0–50 ms on the fig5 topology, against the
-    skew-independent GeoGauss baseline and the Det_base EOCC timing
-    model. eocc p50 must beat GeoGauss at bounds <= 10 ms; warns on
+(** Not a paper figure: the clock-assisted fast-path sweep ([--engine
+    eocc], DESIGN.md §14) — tput and p50/p95 across clock-skew bounds
+    0–50 ms on the fig5 topology, against the skew-independent GeoGauss
+    baseline. eocc p50 must beat GeoGauss at bounds <= 10 ms; warns on
     stderr otherwise. Also writes [BENCH_fastpath.json] for
-    [geogauss bench diff] (p50/p95/mispredict rate gate
-    lower-is-better). *)
+    [geogauss bench diff] (p50/p95 gate lower-is-better). *)
 
 val names : string list
 (** Canonical experiment names, in paper order (plus the ablations and
@@ -113,8 +119,10 @@ val make_runner : string -> ?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit
 val all : (string * (?fast:bool -> ?pool:Gg_par.Pool.t -> unit -> unit)) list
 (** Experiment registry: [(name, runner)] for every entry of {!names}. *)
 
-val run : ?fast:bool -> ?pool:Gg_par.Pool.t -> string -> bool
+val run :
+  ?fast:bool -> ?pool:Gg_par.Pool.t -> ?json_out:string -> string -> bool
 (** Run one experiment by name ("fig5", "table2", …); false if
-    unknown. (The runners in {!all} raise [Invalid_argument] — listing
-    the known names — if applied to a name outside the registry;
-    [run] itself reports unknown names via its return value.) *)
+    unknown. [json_out] as in {!tables}. ({!make_runner} raises
+    [Invalid_argument] — listing the known names — on a name outside the
+    registry; [run] itself reports unknown names via its return
+    value.) *)

@@ -289,21 +289,7 @@ let unresolved_parents t =
    the chain is monotone and the phases telescope to exactly T4-T0
    for every sampled transaction — the invariant the tests pin. The
    binding WAN hop is the batch.recv with the largest (at, sender); its
-   sender decodes from the parent span's node bits.
-
-   Under the clock-assisted fast path (eocc, DESIGN.md §14) a confirmed
-   speculative epoch replaces the wan/merge_wait cut with a spec/confirm
-   cut at the instants its merge span records:
-
-     S  speculative seal     -> spec_wait    = S - s   (watermark wait)
-     C  confirm point        -> confirm_wait = C - S  (straggler overlap)
-     T3 merge committed      -> validate     = T3 - C (residual charge)
-
-   wan and merge_wait are 0 for those transactions (the WAN tail is
-   exactly what the speculation overlapped — it shows up as
-   confirm_wait), and the eight phases still telescope to T4-T0.
-   Mispredicted epochs re-merge under a fresh span with no spec/confirm
-   events, so they fall through to the classic six-phase cut. *)
+   sender decodes from the parent span's node bits. *)
 
 type cp_txn = {
   cp_node : int;
@@ -315,8 +301,6 @@ type cp_txn = {
   cp_seal_wait : int;
   cp_wan : int;
   cp_merge_wait : int;
-  cp_spec_wait : int;  (* fast path: seal -> speculative merge start *)
-  cp_confirm_wait : int;  (* fast path: speculative start -> confirm *)
   cp_validate : int;
   cp_commit : int;
   cp_wan_from : int;  (* binding sender node, -1 when no WAN hop bound *)
@@ -336,8 +320,6 @@ let critical_path t =
   let recvs = Hashtbl.create 256 in (* (node, epoch) -> (at, parent) list *)
   let m_start = Hashtbl.create 256 in (* merge span -> at *)
   let m_commit = Hashtbl.create 256 in
-  let spec_at = Hashtbl.create 64 in (* merge span -> speculative seal at *)
-  let confirm_at = Hashtbl.create 64 in (* merge span -> confirm at *)
   let cpoint = Hashtbl.create 4096 in (* txn span -> at *)
   let committed = ref 0 in
   List.iter
@@ -353,10 +335,6 @@ let critical_path t =
         Hashtbl.replace m_start e.Obs.Trace.span e.Obs.Trace.at
       | "epoch", "merge.commit" when e.Obs.Trace.span > 0 ->
         Hashtbl.replace m_commit e.Obs.Trace.span e.Obs.Trace.at
-      | "epoch", "merge.spec" when e.Obs.Trace.span > 0 ->
-        Hashtbl.replace spec_at e.Obs.Trace.span e.Obs.Trace.at
-      | "epoch", "merge.confirm" when e.Obs.Trace.span > 0 ->
-        Hashtbl.replace confirm_at e.Obs.Trace.span e.Obs.Trace.at
       | "txn", "commit.point" when e.Obs.Trace.span > 0 ->
         Hashtbl.replace cpoint e.Obs.Trace.span e.Obs.Trace.at
       | "txn", "commit" -> incr committed
@@ -383,40 +361,9 @@ let critical_path t =
           Hashtbl.find_opt m_start e.Obs.Trace.parent,
           Hashtbl.find_opt m_commit e.Obs.Trace.parent )
       with
-      | Some t1, Some seal, Some t2, Some t3 -> (
+      | Some t1, Some seal, Some t2, Some t3 ->
         let t4 = e.Obs.Trace.at in
         let t0 = t4 - e.Obs.Trace.dur in
-        match
-          ( Hashtbl.find_opt spec_at e.Obs.Trace.parent,
-            Hashtbl.find_opt confirm_at e.Obs.Trace.parent )
-        with
-        | Some sp, Some c ->
-          (* Confirmed speculative epoch: cut at seal -> spec -> confirm
-             instead of wan/merge_wait (both 0 here — the WAN tail is
-             the confirm_wait the speculation overlapped). Clamps keep
-             the chain monotone so the eight phases telescope. *)
-          let s = clamp t1 t3 seal in
-          let sp = clamp s t3 sp in
-          let c = clamp sp t3 c in
-          Some
-            {
-              cp_node = e.Obs.Trace.node;
-              cp_span = e.Obs.Trace.span;
-              cp_epoch = e.Obs.Trace.epoch;
-              cp_submit_at = t0;
-              cp_latency_us = e.Obs.Trace.dur;
-              cp_execute = t1 - t0;
-              cp_seal_wait = s - t1;
-              cp_wan = 0;
-              cp_merge_wait = 0;
-              cp_spec_wait = sp - s;
-              cp_confirm_wait = c - sp;
-              cp_validate = t3 - c;
-              cp_commit = t4 - t3;
-              cp_wan_from = -1;
-              cp_wan_pair = "";
-            }
-        | _ ->
         let binding =
           List.fold_left
             (fun best (at, parent) ->
@@ -444,8 +391,6 @@ let critical_path t =
             cp_seal_wait = s - t1;
             cp_wan = wan;
             cp_merge_wait = t2 - ready;
-            cp_spec_wait = 0;
-            cp_confirm_wait = 0;
             cp_validate = t3 - t2;
             cp_commit = t4 - t3;
             cp_wan_from = (if wan > 0 then sender else -1);
@@ -455,7 +400,7 @@ let critical_path t =
                    (region_of_node regions sender)
                    (region_of_node regions e.Obs.Trace.node)
                else "");
-          })
+          }
       | _ -> None
   in
   let txns =
@@ -653,14 +598,13 @@ let render_report ?(epoch_limit = 40) ?(top = 5) t =
 
 let cp_phase_names =
   [
-    "execute"; "seal_wait"; "wan"; "merge_wait"; "spec_wait"; "confirm_wait";
-    "validate"; "commit";
+    "execute"; "seal_wait"; "wan"; "merge_wait"; "validate"; "commit";
   ]
 
 let cp_phase_values c =
   [
-    c.cp_execute; c.cp_seal_wait; c.cp_wan; c.cp_merge_wait; c.cp_spec_wait;
-    c.cp_confirm_wait; c.cp_validate; c.cp_commit;
+    c.cp_execute; c.cp_seal_wait; c.cp_wan; c.cp_merge_wait; c.cp_validate;
+    c.cp_commit;
   ]
 
 let render_critical_path t =
@@ -672,7 +616,7 @@ let render_critical_path t =
         match Hashtbl.find_opt by_node c.cp_node with
         | Some cell -> cell
         | None ->
-          let cell = (ref 0, Array.make 9 0.0) in
+          let cell = (ref 0, Array.make 7 0.0) in
           Hashtbl.replace by_node c.cp_node cell;
           cell
       in
@@ -680,7 +624,7 @@ let render_critical_path t =
       List.iteri
         (fun i v -> sums.(i) <- sums.(i) +. float_of_int v)
         (cp_phase_values c);
-      sums.(8) <- sums.(8) +. float_of_int c.cp_latency_us)
+      sums.(6) <- sums.(6) +. float_of_int c.cp_latency_us)
     r.cpr_txns;
   let table =
     Tablefmt.create
@@ -688,7 +632,7 @@ let render_critical_path t =
       ~headers:
         [
           "node"; "txns"; "execute"; "seal wait"; "wan"; "merge wait";
-          "spec wait"; "confirm wait"; "validate"; "commit"; "total";
+          "validate"; "commit"; "total";
         ]
   in
   Hashtbl.fold (fun node cell acc -> (node, cell) :: acc) by_node []
@@ -697,7 +641,7 @@ let render_critical_path t =
          let mean i = sums.(i) /. float_of_int !n /. 1000.0 in
          Tablefmt.add_row table
            (string_of_int node :: string_of_int !n
-           :: List.map (fun i -> f (mean i)) [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ]));
+           :: List.map (fun i -> f (mean i)) [ 0; 1; 2; 3; 4; 5; 6 ]));
   let pair_tbl = Hashtbl.create 8 in
   List.iter
     (fun c ->
@@ -745,7 +689,7 @@ let render_critical_path t =
 let critical_path_json t =
   let r = critical_path t in
   let n = List.length r.cpr_txns in
-  let sums = Array.make 8 0 in
+  let sums = Array.make 6 0 in
   List.iter
     (fun c -> List.iteri (fun i v -> sums.(i) <- sums.(i) + v) (cp_phase_values c))
     r.cpr_txns;
@@ -780,8 +724,6 @@ let critical_path_json t =
                    ("seal_wait_us", Jsonl.Int c.cp_seal_wait);
                    ("wan_us", Jsonl.Int c.cp_wan);
                    ("merge_wait_us", Jsonl.Int c.cp_merge_wait);
-                   ("spec_wait_us", Jsonl.Int c.cp_spec_wait);
-                   ("confirm_wait_us", Jsonl.Int c.cp_confirm_wait);
                    ("validate_us", Jsonl.Int c.cp_validate);
                    ("commit_us", Jsonl.Int c.cp_commit);
                    ("wan_from", Jsonl.Int c.cp_wan_from);

@@ -71,18 +71,12 @@ val unresolved_parents : t -> int * int
 
     The committed latency [T4 - T0] of each fully traced write
     transaction is cut at the causally ordered instants of Algorithm 1
-    into eight phases — execute (submit → commit point), seal wait
+    into six phases — execute (submit → commit point), seal wait
     (commit point → own epoch seal), wan (seal → last peer EOF, the
-    binding WAN hop), merge wait, spec wait (seal → speculative merge
-    start, fast path only), confirm wait (speculative start → confirm
-    point, fast path only), validate (the merge itself) and commit
-    (write-back → client notify). A transaction takes the wan/merge-wait
-    cut {e or} the spec/confirm cut, never both: a confirmed speculative
-    epoch (eocc, DESIGN.md §14) reports wan = merge wait = 0 — its WAN
-    tail is exactly the confirm wait the speculation overlapped — and a
-    classic or mispredicted epoch reports spec = confirm = 0.
-    Intermediate instants are clamped to stay monotone, so the eight
-    phases always sum to exactly the commit event's latency.
+    binding WAN hop), merge wait, validate (the merge itself) and commit
+    (write-back → client notify). Intermediate instants are clamped to
+    stay monotone, so the six phases always sum to exactly the commit
+    event's latency.
     Transactions without full lineage (read-only, GeoG-A, ring-buffer
     wrap) are excluded and reported in {!cp_report.cpr_committed} vs the
     sampled count. *)
@@ -97,8 +91,6 @@ type cp_txn = {
   cp_seal_wait : int;
   cp_wan : int;
   cp_merge_wait : int;
-  cp_spec_wait : int;  (** fast path: seal → speculative merge start *)
-  cp_confirm_wait : int;  (** fast path: speculative start → confirm *)
   cp_validate : int;
   cp_commit : int;
   cp_wan_from : int;  (** binding sender node, [-1] when no WAN hop bound *)

@@ -19,7 +19,8 @@ type action =
   | Corrupt of float  (** set the binary-frame corruption probability *)
   | Skew_step of { node : int; delta_us : int }
       (** skew burst: step a node's clock offset ({!Clock.inject_step}
-          via the [on_skew] hook); forces fast-path mispredictions *)
+          via the [on_skew] hook); moves the fast path's local epoch
+          boundaries mid-run *)
 
 type event = { at_ms : int; action : action }
 

@@ -1,10 +1,9 @@
 (* Tests for the bounded-skew clock model and the clock-assisted epoch
    fast path built on it (DESIGN.md §14): seeded offsets are
-   deterministic and never exceed the configured bound (the invariant
-   the speculative sealer's fallback correctness argument rests on),
-   the per-sender watermark is monotone, the eocc chaos sweep holds all
-   five oracles, and a deliberately broken watermark margin is caught
-   by the misprediction counter — not by a consistency violation. *)
+   deterministic and never exceed the configured bound, the eocc chaos
+   sweep holds all five oracles (crash/recover included), the seal-time
+   WAL prelog takes the fsync off the commit path, and the CLI refuses a
+   skew budget for an engine that never reads the clock. *)
 
 module Clock = Gg_sim.Clock
 module Topology = Gg_sim.Topology
@@ -23,8 +22,8 @@ let prop_offsets_deterministic =
   QCheck.Test.make ~name:"same seed, same offsets" ~count:50
     QCheck.(pair (int_bound 10_000) (int_bound 50_000))
     (fun (seed, bound_us) ->
-      let a = Clock.create ~seed ~topology:topo ~bound_us () in
-      let b = Clock.create ~seed ~topology:topo ~bound_us () in
+      let a = Clock.create ~seed ~topology:topo ~bound_us in
+      let b = Clock.create ~seed ~topology:topo ~bound_us in
       List.for_all
         (fun at ->
           List.for_all
@@ -37,7 +36,7 @@ let prop_offsets_within_bound =
   QCheck.Test.make ~name:"offsets clamped to the skew bound" ~count:100
     QCheck.(pair (int_bound 10_000) (int_bound 50_000))
     (fun (seed, bound_us) ->
-      let c = Clock.create ~seed ~topology:topo ~bound_us () in
+      let c = Clock.create ~seed ~topology:topo ~bound_us in
       List.for_all
         (fun at ->
           List.for_all
@@ -58,7 +57,7 @@ let prop_bound_survives_skew_steps =
         (list_of_size (QCheck.Gen.int_range 1 6)
            (pair (int_bound 1_000) (int_range (-200_000) 200_000))))
     (fun (seed, bound_us, steps) ->
-      let c = Clock.create ~seed ~topology:topo ~bound_us () in
+      let c = Clock.create ~seed ~topology:topo ~bound_us in
       List.for_all
         (fun (node_raw, delta_us) ->
           let node = node_raw mod n_nodes in
@@ -68,49 +67,12 @@ let prop_bound_survives_skew_steps =
             sample_times)
         steps)
 
-(* --- per-sender watermark --- *)
-
-let prop_watermark_monotone =
-  (* Whatever order stamps arrive in — including stale re-deliveries —
-     the high-water mark only moves forward. *)
-  QCheck.Test.make ~name:"watermark monotone per sender" ~count:100
-    QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_bound 5_000_000))
-    (fun stamps ->
-      let c = Clock.create ~seed:7 ~topology:topo ~bound_us:5_000 () in
-      let running_max = ref min_int in
-      List.for_all
-        (fun stamp ->
-          running_max := max !running_max stamp;
-          Clock.note_stamp c ~src:1 ~dst:0 ~stamp ~at:(stamp + 30_000);
-          match Clock.hwm c ~src:1 ~dst:0 with
-          | None -> false
-          | Some (s, _) -> s = !running_max)
-        stamps)
-
-let test_deadline_monotone_in_margin () =
-  let c = Clock.create ~seed:3 ~topology:topo ~bound_us:5_000 () in
-  (* no hwm yet: worst-case prediction *)
-  let d0 = Clock.deadline c ~src:1 ~dst:0 ~boundary_us:100_000 ~margin_us:0 in
-  let d1 =
-    Clock.deadline c ~src:1 ~dst:0 ~boundary_us:100_000 ~margin_us:2_000
-  in
-  Alcotest.(check bool) "margin pushes the deadline out" true (d1 = d0 + 2_000);
-  (* with a hwm the sender-clock terms cancel: feeding a later stamp
-     from the same sender never moves the prediction backwards *)
-  Clock.note_stamp c ~src:1 ~dst:0 ~stamp:40_000 ~at:70_000;
-  let da = Clock.deadline c ~src:1 ~dst:0 ~boundary_us:100_000 ~margin_us:0 in
-  Clock.note_stamp c ~src:1 ~dst:0 ~stamp:60_000 ~at:90_000;
-  let db = Clock.deadline c ~src:1 ~dst:0 ~boundary_us:100_000 ~margin_us:0 in
-  Alcotest.(check bool) "hwm deadline well-formed" true (da > 0 && db > 0);
-  Alcotest.(check bool) "deadline deterministic" true
-    (db = Clock.deadline c ~src:1 ~dst:0 ~boundary_us:100_000 ~margin_us:0)
-
 (* --- eocc chaos sweep: the five oracles at full strength --- *)
 
 let test_eocc_seeds_pass () =
-  (* 50 fast seeds with speculative sealing pinned on and a 10 ms skew
+  (* 50 fast seeds with the fast path pinned on and a 10 ms skew
      budget (plus each scenario's deterministic skew-burst schedule):
-     externalization gates on the confirm point, so every oracle must
+     the merge still waits for every peer's EOF, so every oracle must
      hold exactly as it does for the classic engine. *)
   Gg_par.Pool.with_pool ~jobs:0 (fun pool ->
       let report =
@@ -167,39 +129,99 @@ let test_fastpath_scenarios_pinned () =
       (Scenario.to_string s) (Scenario.to_string s')
   done
 
-(* --- broken-watermark canary --- *)
-
-let fastpath_run params =
-  let profile =
-    Gg_workload.Ycsb.with_records Gg_workload.Ycsb.medium_contention 2_000
+(* A pinned eocc scenario with a crash/recover cycle: node 1 goes down
+   with local write sets sealed and prelogged but not yet merged, then
+   rejoins through a state transfer. Both paths drop the prelog
+   bookkeeping with the rest of the volatile epoch state; the five
+   oracles must hold and the rejoined node must catch up. *)
+let test_eocc_crash_recover_passes () =
+  let recover_ms = 1_100 in
+  let s =
+    Scenario.with_fastpath ~clock_skew_ms:10
+      {
+        (Scenario.generate ~variant:Params.Optimistic ~fast:true 7) with
+        Scenario.workload = Scenario.Ycsb_mc;
+        ft = Params.Ft_local_backup;
+        duration_ms = 2_600;
+        faults =
+          [
+            { Gg_sim.Fault.at_ms = 300; action = Gg_sim.Fault.Crash 1 };
+            { Gg_sim.Fault.at_ms = recover_ms; action = Gg_sim.Fault.Recover 1 };
+          ];
+        arrival = None;
+      }
   in
-  Gg_harness.Driver.run_geogauss ~params ~connections:8
-    ~topology:(Topology.china3 ())
-    ~load:(Gg_workload.Ycsb.load profile)
-    ~gen:(Gg_harness.Driver.ycsb_gens profile ~seed:11)
-    ~warmup_ms:200 ~measure_ms:600 ~label:"clock-test" ()
+  let o = Checker.run s in
+  (match o.Checker.violation with
+  | None -> ()
+  | Some v -> Alcotest.failf "violation: %s" (Checker.reproducer s v));
+  Alcotest.(check bool) "commits happened" true (o.Checker.commits > 0);
+  let rejoined = List.nth o.Checker.lsns 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "node 1 rejoined (lsn %d)" rejoined)
+    true
+    (rejoined * s.Scenario.epoch_ms > recover_ms)
 
-let test_broken_watermark_canary () =
-  (* A deliberately broken margin (speculate a full second early, long
-     before remote write sets can have arrived) must be caught by the
-     misprediction fallback: the counter fires, yet the run still
-     commits — proving mispredicts cost wasted simulated work, never
-     correctness. A healthy margin on the same workload confirms. *)
-  let healthy = Params.with_fastpath Params.default true in
-  let broken = { healthy with Params.fastpath_margin_us = -1_000_000 } in
-  let r_h, x_h = fastpath_run healthy in
-  let spec_h, confirms_h, _ = x_h.Gg_harness.Driver.fastpath in
-  Alcotest.(check bool) "healthy run commits" true
-    (r_h.Gg_harness.Result.committed > 0);
-  Alcotest.(check bool) "healthy run speculates" true (spec_h > 0);
-  Alcotest.(check bool) "healthy run confirms" true (confirms_h > 0);
-  let r_b, x_b = fastpath_run broken in
-  let spec_b, _, mispredicts_b = x_b.Gg_harness.Driver.fastpath in
-  Alcotest.(check bool) "broken run still commits" true
-    (r_b.Gg_harness.Result.committed > 0);
-  Alcotest.(check bool) "broken run speculates" true (spec_b > 0);
-  Alcotest.(check bool) "broken watermark detected as mispredictions" true
-    (mispredicts_b > 0)
+(* --- the seal-time WAL prelog --- *)
+
+let mean_log_us params =
+  (* write-only: a read-only commit skips the log and would dilute the
+     mean below the fsync for either engine *)
+  let profile =
+    {
+      (Gg_workload.Ycsb.with_records Gg_workload.Ycsb.medium_contention 2_000)
+      with
+      Gg_workload.Ycsb.read_pct = 0.0;
+    }
+  in
+  let _, extra =
+    Gg_harness.Driver.run_geogauss ~params ~connections:8
+      ~topology:(Topology.china3 ())
+      ~load:(Gg_workload.Ycsb.load profile)
+      ~gen:(Gg_harness.Driver.ycsb_gens profile ~seed:11)
+      ~warmup_ms:200 ~measure_ms:600 ~label:"prelog-test" ()
+  in
+  let logs =
+    List.map (fun (_, (_, _, _, _, l)) -> l) extra.Gg_harness.Driver.phase_means
+  in
+  List.fold_left ( +. ) 0.0 logs /. float_of_int (List.length logs)
+
+let test_prelog_hides_fsync () =
+  (* eocc group-commits the local write sets when the epoch seals, so by
+     the time the merge lands only the unfinished part of the fsync is
+     left on the commit path; geogauss logs after the merge and pays the
+     whole fsync. *)
+  let fsync = float_of_int Params.default.Params.cost.Params.log_fsync_us in
+  let eocc =
+    mean_log_us
+      (Params.with_clock_skew_us (Params.with_fastpath Params.default true) 0)
+  in
+  let geo = mean_log_us Params.default in
+  if not (eocc < fsync) then
+    Alcotest.failf "eocc mean log phase %.1f us not below fsync %.0f us" eocc
+      fsync;
+  if not (geo >= fsync) then
+    Alcotest.failf "geogauss mean log phase %.1f us below fsync %.0f us" geo
+      fsync
+
+(* --- CLI: a skew budget needs a clock reader --- *)
+
+let cli = "../bin/geogauss_cli.exe"
+
+let test_cli_rejects_clock_skew () =
+  let status args =
+    Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" cli args)
+  in
+  (* cmdliner's exit code for a command-line error *)
+  let cli_error = 124 in
+  Alcotest.(check int) "run without an engine" cli_error
+    (status "run --clock-skew 5");
+  Alcotest.(check int) "run --engine geogauss" cli_error
+    (status "run --engine geogauss --clock-skew 5");
+  Alcotest.(check int) "check without an engine" cli_error
+    (status "check --seeds 1 --clock-skew 5");
+  Alcotest.(check int) "check --engine geog-s" cli_error
+    (status "check --engine geog-s --seeds 1 --clock-skew 5")
 
 let () =
   Alcotest.run "gg_clock"
@@ -210,12 +232,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_offsets_within_bound;
           QCheck_alcotest.to_alcotest prop_bound_survives_skew_steps;
         ] );
-      ( "watermark",
-        [
-          QCheck_alcotest.to_alcotest prop_watermark_monotone;
-          Alcotest.test_case "deadline margin + determinism" `Quick
-            test_deadline_monotone_in_margin;
-        ] );
       ( "eocc",
         [
           Alcotest.test_case "50 fast seeds, five oracles" `Slow
@@ -224,7 +240,11 @@ let () =
             test_eocc_sweep_pool_parity;
           Alcotest.test_case "with_fastpath pins, no redraw" `Quick
             test_fastpath_scenarios_pinned;
-          Alcotest.test_case "broken watermark canary" `Slow
-            test_broken_watermark_canary;
+          Alcotest.test_case "crash/recover scenario, five oracles" `Slow
+            test_eocc_crash_recover_passes;
+          Alcotest.test_case "prelog hides the fsync" `Slow
+            test_prelog_hides_fsync;
+          Alcotest.test_case "cli rejects --clock-skew without eocc" `Quick
+            test_cli_rejects_clock_skew;
         ] );
     ]

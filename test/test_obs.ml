@@ -382,7 +382,7 @@ let test_no_orphan_parents () =
   Alcotest.(check bool) "receive-side events present" true (with_parent > 100);
   Alcotest.(check int) "every parent span resolves" 0 unresolved
 
-(* Shared by the classic and eocc phase-sum tests: all eight phases of
+(* Shared by the classic and eocc phase-sum tests: all six phases of
    every sampled transaction are non-negative and telescope to exactly
    the commit latency. *)
 let check_phase_sums (rep : Trace_view.cp_report) =
@@ -390,8 +390,7 @@ let check_phase_sums (rep : Trace_view.cp_report) =
     (fun (c : Trace_view.cp_txn) ->
       let sum =
         c.Trace_view.cp_execute + c.Trace_view.cp_seal_wait + c.Trace_view.cp_wan
-        + c.Trace_view.cp_merge_wait + c.Trace_view.cp_spec_wait
-        + c.Trace_view.cp_confirm_wait + c.Trace_view.cp_validate
+        + c.Trace_view.cp_merge_wait + c.Trace_view.cp_validate
         + c.Trace_view.cp_commit
       in
       if sum <> c.Trace_view.cp_latency_us then
@@ -405,8 +404,6 @@ let check_phase_sums (rep : Trace_view.cp_report) =
           ("seal_wait", c.Trace_view.cp_seal_wait);
           ("wan", c.Trace_view.cp_wan);
           ("merge_wait", c.Trace_view.cp_merge_wait);
-          ("spec_wait", c.Trace_view.cp_spec_wait);
-          ("confirm_wait", c.Trace_view.cp_confirm_wait);
           ("validate", c.Trace_view.cp_validate);
           ("commit", c.Trace_view.cp_commit);
         ])
@@ -423,12 +420,6 @@ let test_critical_path_sums_to_latency () =
   Alcotest.(check bool) "sampled a meaningful fraction" true
     (List.length rep.Trace_view.cpr_txns > rep.Trace_view.cpr_committed / 2);
   check_phase_sums rep;
-  (* the classic engine never speculates, so the fast-path phases are 0 *)
-  List.iter
-    (fun (c : Trace_view.cp_txn) ->
-      Alcotest.(check int) "classic spec_wait" 0 c.Trace_view.cp_spec_wait;
-      Alcotest.(check int) "classic confirm_wait" 0 c.Trace_view.cp_confirm_wait)
-    rep.Trace_view.cpr_txns;
   (* cross-region traffic flowed and was attributed to region pairs *)
   let wan = Trace_view.wan_report t in
   Alcotest.(check bool) "wan bytes flowed" true (wan.Trace_view.wr_total_bytes > 0);
@@ -446,10 +437,8 @@ let test_critical_path_sums_to_latency () =
     (Jsonl.to_string (Trace_view.wan_json t))
 
 (* Same telescoping invariant under the clock-assisted fast path
-   (DESIGN.md §14): confirmed speculative epochs take the
-   spec_wait/confirm_wait cut (with wan = merge_wait = 0), classic and
-   mispredicted epochs fall back to the six-phase cut — either way the
-   eight phases must still sum to the commit latency exactly. *)
+   (DESIGN.md §14): local-clock seals and the seal-time WAL prelog move
+   the instants, never the six-phase cut. *)
 let test_critical_path_sums_eocc () =
   let path = Filename.temp_file "ggcpfp" ".jsonl" in
   let r = traced_run_custom ~fastpath:true path in
@@ -458,22 +447,7 @@ let test_critical_path_sums_eocc () =
   let rep = Trace_view.critical_path t in
   Alcotest.(check int) "commit count matches result"
     r.Gg_harness.Result.committed rep.Trace_view.cpr_committed;
-  check_phase_sums rep;
-  (* the speculative cut was actually taken for some sampled txns *)
-  let spec_cut =
-    List.filter
-      (fun (c : Trace_view.cp_txn) ->
-        c.Trace_view.cp_spec_wait + c.Trace_view.cp_confirm_wait > 0)
-      rep.Trace_view.cpr_txns
-  in
-  Alcotest.(check bool) "some txns took the spec cut" true (spec_cut <> []);
-  List.iter
-    (fun (c : Trace_view.cp_txn) ->
-      Alcotest.(check int) "spec cut: wan folded into confirm_wait" 0
-        c.Trace_view.cp_wan;
-      Alcotest.(check int) "spec cut: merge_wait folded into spec_wait" 0
-        c.Trace_view.cp_merge_wait)
-    spec_cut
+  check_phase_sums rep
 
 let test_trace_bytes_identical_across_merge_jobs () =
   let p1 = Filename.temp_file "ggmj1" ".jsonl" in
