@@ -210,11 +210,18 @@ let map_chunks ~jobs xs ~f =
     Array.to_list (join_all tasks)
   end
 
-module Local_counter = struct
-  type t = int ref Domain.DLS.key
+module Local = struct
+  type 'a t = 'a Domain.DLS.key
 
-  let create () = Domain.DLS.new_key (fun () -> ref 0)
-  let incr t = incr (Domain.DLS.get t)
-  let get t = !(Domain.DLS.get t)
-  let reset t = Domain.DLS.get t := 0
+  let create init = Domain.DLS.new_key init
+  let get = Domain.DLS.get
+end
+
+module Local_counter = struct
+  type t = int ref Local.t
+
+  let create () = Local.create (fun () -> ref 0)
+  let incr t = incr (Local.get t)
+  let get t = !(Local.get t)
+  let reset t = Local.get t := 0
 end

@@ -86,10 +86,24 @@ val map_chunks : jobs:int -> 'a list -> f:('a list -> 'b) -> 'b list
     on each concurrently, and returns results in chunk order —
     concatenating them reproduces a sequential left-to-right pass. *)
 
-(** Domain-local counters: the sanctioned form of cross-call counting
-    state in [lib/] (a plain global [ref] would race and mix counts
-    across concurrent pool tasks). Each domain sees its own counter;
-    reset and read from the same task. *)
+(** Domain-local values: the sanctioned form of cross-call state in
+    [lib/] (a plain global [ref] would race and mix state across
+    concurrent pool tasks). Each domain lazily builds its own value on
+    first {!get} and sees only that one afterwards. *)
+module Local : sig
+  type 'a t
+
+  val create : (unit -> 'a) -> 'a t
+  (** [create init] makes the key (itself immutable; safe at module
+      level). [init] runs once per domain, on that domain's first
+      {!get}. *)
+
+  val get : 'a t -> 'a
+  (** The calling domain's value. *)
+end
+
+(** Domain-local counters, an [int ref] {!Local.t}. Each domain sees its
+    own counter; reset and read from the same task. *)
 module Local_counter : sig
   type t
 

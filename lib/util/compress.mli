@@ -6,7 +6,9 @@
 
 val compress : bytes -> bytes
 (** Never fails; incompressible input grows by a small framing
-    overhead. *)
+    overhead. The match tables are one reused scratch per domain, so
+    calls on different domains may overlap but two systhreads of one
+    domain must not call it at once. *)
 
 val decompress : bytes -> bytes
 (** Inverse of {!compress}. Raises [Invalid_argument] on data not

@@ -12,7 +12,9 @@
    - module-level mutable state ([ref]/[Hashtbl.create]/... at
      structure level): shared across concurrent pool tasks, it breaks
      run-to-run isolation. Per-domain state must go through
-     [Gg_par.Pool.Local_counter] ([Writeset.Batch]'s encode counter);
+     [Gg_par.Pool.Local] ([Compress]'s match-finder scratch) or its
+     counter form [Gg_par.Pool.Local_counter] ([Writeset.Batch]'s
+     encode counter);
    - raw [Domain.spawn]/[Domain.DLS] (any [Domain.] use) outside
      lib/par: all parallelism must flow through the deterministic pool
      and shard helpers, whose submission/shard-order reduction is what
@@ -127,19 +129,26 @@ let test_no_hazards () =
         ("determinism hazards in lib/:\n" ^ String.concat "\n" findings)
 
 let test_dls_is_sanctioned () =
-  (* The one piece of cross-call state lib/ keeps — the bench encode
-     counter — must stay domain-local, and reach Domain.DLS only
-     through the pool's Local_counter (the `Domain.` ban above already
-     guarantees the "only through" half for all of lib/). *)
+  (* The cross-call state lib/ keeps — the bench encode counter and the
+     compressor's match-finder scratch — must stay domain-local, and
+     reach Domain.DLS only through the pool's Local (the `Domain.` ban
+     above already guarantees the "only through" half for all of
+     lib/). *)
   match src_root () with
   | None -> Alcotest.fail "cannot locate lib/ sources from test cwd"
   | Some root ->
     let ws = read_lines (Filename.concat root "crdt/writeset.ml") in
     Alcotest.(check bool) "encode counter uses Pool.Local_counter" true
       (List.exists (fun l -> contains l "Local_counter") ws);
+    let cz = read_lines (Filename.concat root "util/compress.ml") in
+    Alcotest.(check bool) "compress scratch uses Pool.Local" true
+      (List.exists (fun l -> contains l "Pool.Local.create") cz
+      && List.exists (fun l -> contains l "Pool.Local.get") cz);
     let pool = read_lines (Filename.concat root "par/pool.ml") in
-    Alcotest.(check bool) "Local_counter is DLS-backed" true
-      (List.exists (fun l -> contains l "Domain.DLS.new_key") pool)
+    Alcotest.(check bool) "Local is DLS-backed" true
+      (List.exists (fun l -> contains l "Domain.DLS.new_key") pool);
+    Alcotest.(check bool) "Local_counter is built on Local" true
+      (List.exists (fun l -> contains l "type t = int ref Local.t") pool)
 
 let test_engine_registry_is_canonical () =
   (* Engine names resolve through exactly one table —

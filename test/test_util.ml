@@ -341,17 +341,166 @@ let test_compress_rejects_garbage () =
        false
      with Invalid_argument _ -> true)
 
+
+(* Byte-identity oracle: the allocate-per-call compressor as it stood
+   before [Compress] reused domain-local tables. Its
+   output is the wire format (and hence every simulated WAN byte), so
+   the scratch-reusing compressor must reproduce it exactly. *)
+let reference_compress input =
+  let min_match = 3 and max_match = 258 and window = 1 lsl 16 in
+  let hash_size = 1 lsl 15 in
+  let hash3 data i =
+    let a = Char.code (Bytes.get data i)
+    and b = Char.code (Bytes.get data (i + 1))
+    and c = Char.code (Bytes.get data (i + 2)) in
+    ((a lsl 10) lxor (b lsl 5) lxor c) land (hash_size - 1)
+  in
+  let n = Bytes.length input in
+  let enc = Codec.Enc.create () in
+  Codec.Enc.varint enc n;
+  let head = Array.make hash_size (-1) in
+  let prev = Array.make (max n 1) (-1) in
+  let match_len i j =
+    let limit = min max_match (n - i) in
+    let rec go k =
+      if k < limit && Bytes.get input (i + k) = Bytes.get input (j + k) then
+        go (k + 1)
+      else k
+    in
+    go 0
+  in
+  let insert i =
+    if i + min_match <= n then begin
+      let h = hash3 input i in
+      prev.(i) <- head.(h);
+      head.(h) <- i
+    end
+  in
+  let i = ref 0 in
+  while !i < n do
+    let best_len = ref 0 and best_pos = ref (-1) in
+    if !i + min_match <= n then begin
+      let h = hash3 input !i in
+      let candidate = ref head.(h) in
+      let tries = ref 32 in
+      while !candidate >= 0 && !tries > 0 do
+        if !i - !candidate <= window then begin
+          let len = match_len !i !candidate in
+          if len > !best_len then begin
+            best_len := len;
+            best_pos := !candidate
+          end;
+          candidate := prev.(!candidate);
+          decr tries
+        end
+        else candidate := -1
+      done
+    end;
+    if !best_len >= min_match then begin
+      Codec.Enc.byte enc 0x01;
+      Codec.Enc.varint enc !best_len;
+      Codec.Enc.varint enc (!i - !best_pos);
+      for k = !i to !i + !best_len - 1 do
+        insert k
+      done;
+      i := !i + !best_len
+    end
+    else begin
+      Codec.Enc.byte enc 0x00;
+      Codec.Enc.byte enc (Char.code (Bytes.get input !i));
+      insert !i;
+      incr i
+    end
+  done;
+  Codec.Enc.to_bytes enc
+
+(* Both properties also hold the output to the reference bytes. *)
+let roundtrips_as_reference b =
+  let c = Compress.compress b in
+  Bytes.equal b (Compress.decompress c) && Bytes.equal c (reference_compress b)
+
 let prop_compress_roundtrip =
   QCheck.Test.make ~name:"compress roundtrip" ~count:300 QCheck.string (fun s ->
-      let b = Bytes.of_string s in
-      Bytes.equal b (Compress.decompress (Compress.compress b)))
+      roundtrips_as_reference (Bytes.of_string s))
 
 let prop_compress_roundtrip_repetitive =
   QCheck.Test.make ~name:"compress roundtrip (repetitive)" ~count:200
-    QCheck.(pair small_string (int_range 1 50))
+    QCheck.(pair small_string (int_range 1 200))
     (fun (s, k) ->
-      let b = Bytes.of_string (String.concat "" (List.init k (fun _ -> s))) in
-      Bytes.equal b (Compress.decompress (Compress.compress b)))
+      roundtrips_as_reference
+        (Bytes.of_string (String.concat "" (List.init k (fun _ -> s)))))
+
+let repetitive_10k =
+  Bytes.init 10_000 (fun i -> "row:0042|balance=100;".[i mod 21])
+
+let test_compress_stale_scratch () =
+  (* A long input fills the hash chains; every later, shorter input
+     shares its 3-byte prefixes, so any hash slot the reset missed would
+     point a lookup at a stale position and change the tokens. *)
+  let inputs =
+    [ repetitive_10k; Bytes.sub repetitive_10k 0 300;
+      Bytes.of_string "row:0042|"; Bytes.empty; Bytes.of_string "r";
+      Bytes.of_string "ro"; Bytes.sub repetitive_10k 0 300 ]
+  in
+  List.iteri
+    (fun i b ->
+      Alcotest.(check bytes)
+        (Printf.sprintf "input %d (%d B)" i (Bytes.length b))
+        (reference_compress b) (Compress.compress b))
+    inputs
+
+let test_compress_two_domains () =
+  (* Each pool domain owns its own scratch: concurrent calls on distinct
+     inputs must give the bytes a sequential call gives. *)
+  let inputs =
+    List.init 8 (fun k ->
+        Bytes.init (2_000 + (k * 500)) (fun i ->
+            Char.chr (97 + ((i * (k + 1)) / 7 mod 26))))
+  in
+  let sequential = List.map Compress.compress inputs in
+  let concurrent =
+    Gg_par.Pool.with_pool ~jobs:2 (fun pool ->
+        Gg_par.Pool.map pool
+          (fun b ->
+            (* repeat so both domains are busy at once *)
+            List.init 20 (fun _ -> Compress.compress b))
+          inputs)
+  in
+  List.iteri
+    (fun k (seq, runs) ->
+      List.iter
+        (fun c -> Alcotest.(check bytes) (Printf.sprintf "input %d" k) seq c)
+        runs)
+    (List.combine sequential concurrent)
+
+(* Words allocated by one call: [Gc.minor_words] (exact, unlike the
+   minor field of [Gc.counters], which lags until the next minor
+   collection) plus words allocated straight on the major heap. The
+   pre-scratch compressor allocated ~33.7k words on this input: the
+   32,768-word head table plus an n-word chain. *)
+let compress_alloc_bound = 4_096
+
+let test_compress_alloc_pin () =
+  (* half repetitive row text, half incompressible bytes: both the
+     match and the literal paths run, and the output outgrows the
+     encoder's initial buffer *)
+  let input =
+    Bytes.init 512 (fun i ->
+        if i < 256 then Bytes.get repetitive_10k i
+        else Char.chr ((i * 7919) lxor (i lsr 3) land 0xff))
+  in
+  ignore (Compress.compress input);
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  ignore (Sys.opaque_identity (Compress.compress input));
+  let w = words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words < %d" w compress_alloc_bound)
+    true
+    (w < float_of_int compress_alloc_bound)
 
 (* --- Tablefmt --- *)
 
@@ -430,6 +579,9 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_compress_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_compress_roundtrip;
           QCheck_alcotest.to_alcotest prop_compress_roundtrip_repetitive;
+          Alcotest.test_case "stale scratch canary" `Quick test_compress_stale_scratch;
+          Alcotest.test_case "two domains" `Quick test_compress_two_domains;
+          Alcotest.test_case "allocation pin" `Quick test_compress_alloc_pin;
         ] );
       ( "tablefmt",
         [
